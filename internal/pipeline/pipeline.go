@@ -2,11 +2,12 @@
 // a collector → router → sink architecture in the shape of
 // cc-metric-collector, scaled down to this repository's needs.
 //
-// Collectors adapt existing sample sources — driver sessions, cluster
-// coordinators, sim sensors — into streams of typed Samples grouped into
-// MetricFamily declarations. The Router fans published samples out to any
-// number of Sinks, each behind its own bounded queue drained by a worker
-// goroutine in batches: a slow sink drops samples (counted, never
+// Collectors are pull sources — pupild's status collectors, the router's
+// own accounting — yielding typed Samples grouped into MetricFamily
+// declarations; producers that push (pupild's node and cluster loops)
+// publish to the Router directly. The Router fans published samples out
+// to any number of Sinks, each behind its own bounded queue drained by a
+// worker goroutine in batches: a slow sink drops samples (counted, never
 // blocking the publisher), and Close stops intake, drains every queue in
 // publish order, flushes, and closes the sinks. Sinks serialize batches:
 // Prometheus text exposition, NDJSON streams, an in-memory ring for tests

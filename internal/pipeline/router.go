@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,9 +56,13 @@ func (c Config) withDefaults() Config {
 // Router fans published samples out to named sinks, each behind its own
 // bounded queue drained by a dedicated worker goroutine in batches.
 //
-// Publish never blocks on a sink: a full queue first yields once to give
-// the worker a chance to drain, then evicts the oldest queued sample,
-// counting the loss against the sink — the same contract the stream
+// Publish never blocks on a sink indefinitely: a full queue first waits a
+// bounded time for the worker to free space — a signal from the worker,
+// not a scheduler yield, so the guarantee holds on any number of Ps — and
+// only then evicts the oldest queued sample, counting the loss against the
+// sink. A sink that lets a wait run out is marked stalled, and until its
+// worker next frees space publishers evict without waiting: a wedged sink
+// costs one bounded wait, never a block — the same contract the stream
 // fan-out gives slow subscribers. Close stops intake (later publishes are
 // counted no-ops, never panics), drains every queue in publish order,
 // flushes each sink, and closes it.
@@ -83,11 +86,29 @@ type Router struct {
 	warnFn  func(sink string, dropped uint64)
 }
 
+// stallWait bounds how long a publisher waits for a full queue's worker to
+// free space before evicting. A live worker takes a whole batch out of the
+// queue as soon as it is signalled, so a sustained fast publisher waits
+// microseconds and loses nothing; only a sink stuck inside one Write for
+// longer than this gets its queue trimmed.
+const stallWait = 100 * time.Millisecond
+
+// sinkWorker is one sink's queue — a ring of QueueSize samples that
+// publishers append to and the worker takes out a batch at a time — and
+// the worker's accounting.
 type sinkWorker struct {
-	r     *Router
-	name  string
-	sink  Sink
-	queue chan Sample
+	r    *Router
+	name string
+	sink Sink
+
+	mu      sync.Mutex // guards the ring, stalled, and spaceC
+	ring    []Sample
+	head, n int
+	stalled bool          // a wait ran out; evict without waiting until the worker frees space
+	spaceC  chan struct{} // closed when the worker frees space; nil while no publisher waits
+
+	ready chan struct{} // cap 1: a full batch is queued
+	quit  chan struct{} // closed by Router.Close: drain and exit
 
 	written   atomic.Uint64
 	dropped   atomic.Uint64
@@ -115,7 +136,12 @@ func (r *Router) AddSink(name string, sink Sink) error {
 	if _, dup := r.byName[name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateSink, name)
 	}
-	sw := &sinkWorker{r: r, name: name, sink: sink, queue: make(chan Sample, r.cfg.QueueSize)}
+	sw := &sinkWorker{
+		r: r, name: name, sink: sink,
+		ring:  make([]Sample, r.cfg.QueueSize),
+		ready: make(chan struct{}, 1),
+		quit:  make(chan struct{}),
+	}
 	r.sinks = append(r.sinks, sw)
 	r.byName[name] = sw
 	r.wg.Add(1)
@@ -134,20 +160,11 @@ func (r *Router) SetDropWarn(min time.Duration, fn func(sink string, dropped uin
 }
 
 // Publish offers one sample to every sink. It never blocks on a slow
-// sink and reports whether the sample was accepted (false only after
-// Close, when publishing becomes a counted no-op).
+// sink beyond the bounded stall wait and reports whether the sample was
+// accepted (false only after Close, when publishing becomes a counted
+// no-op).
 func (r *Router) Publish(s Sample) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		r.rejected.Add(1)
-		return false
-	}
-	r.published.Add(1)
-	for _, sw := range r.sinks {
-		sw.offer(s)
-	}
-	return true
+	return r.PublishBatch([]Sample{s})
 }
 
 // PublishBatch offers each sample of the batch to every sink, in order.
@@ -162,50 +179,76 @@ func (r *Router) PublishBatch(batch []Sample) bool {
 	}
 	r.published.Add(uint64(len(batch)))
 	for _, sw := range r.sinks {
-		for _, s := range batch {
-			sw.offer(s)
-		}
+		sw.offer(batch)
 	}
 	return true
 }
 
-// offerSpin bounds how many scheduler yields offer grants a full queue
-// before giving up and evicting. A live sink frees a slot within a yield
-// or two, so a sustained fast publisher sees zero drops; a wedged sink
-// costs the publisher a few dozen yields per sample, still never a block.
-const offerSpin = 64
-
-// offer enqueues without ever blocking indefinitely: a full queue gets a
-// bounded burst of yields for the worker to catch up, then loses its
-// oldest sample. Exactly one sample is lost per failed enqueue, counted
-// against the sink.
-func (sw *sinkWorker) offer(s Sample) {
-	select {
-	case sw.queue <- s:
-		return
-	default:
-	}
-	for i := 0; i < offerSpin; i++ {
-		runtime.Gosched()
-		select {
-		case sw.queue <- s:
-			return
-		default:
+// offer appends the batch to the sink's queue. A full queue gets one
+// bounded wait for the worker to free space, then loses its oldest
+// sample per sample enqueued; every loss is counted against the sink.
+func (sw *sinkWorker) offer(batch []Sample) {
+	size := len(sw.ring)
+	var drops uint64
+	sw.mu.Lock()
+	for _, s := range batch {
+		if sw.n == size && !sw.stalled {
+			sw.mu.Unlock()
+			sw.waitSpace()
+			sw.mu.Lock()
 		}
+		if sw.n == size {
+			sw.head = (sw.head + 1) % size
+			sw.n--
+			drops++
+		}
+		sw.ring[(sw.head+sw.n)%size] = s
+		sw.n++
 	}
-	// Still full: evict the oldest queued sample to make room. A racing
-	// publisher may refill the freed slot, in which case the new sample is
-	// the one lost; either way the sink is down exactly one sample.
+	full := sw.n >= sw.r.cfg.BatchSize
+	sw.mu.Unlock()
+	if full {
+		sw.signal()
+	}
+	if drops > 0 {
+		sw.dropped.Add(drops)
+		sw.noteDrop()
+	}
+}
+
+// signal wakes the worker if it is not already due to wake.
+func (sw *sinkWorker) signal() {
 	select {
-	case <-sw.queue:
+	case sw.ready <- struct{}{}:
 	default:
 	}
-	select {
-	case sw.queue <- s:
-	default:
+}
+
+// waitSpace waits up to stallWait for the worker to take a batch out of
+// the full queue, marking the sink stalled if it does not.
+func (sw *sinkWorker) waitSpace() {
+	sw.signal()
+	sw.mu.Lock()
+	if sw.n < len(sw.ring) || sw.stalled {
+		sw.mu.Unlock()
+		return
 	}
-	sw.dropped.Add(1)
-	sw.noteDrop()
+	if sw.spaceC == nil {
+		sw.spaceC = make(chan struct{})
+	}
+	spaceC := sw.spaceC
+	sw.mu.Unlock()
+	t := time.NewTimer(stallWait)
+	defer t.Stop()
+	select {
+	case <-spaceC:
+	case <-t.C:
+		sw.mu.Lock()
+		if sw.spaceC == spaceC {
+			sw.stalled = true
+		}
+		sw.mu.Unlock()
+	}
 }
 
 func (sw *sinkWorker) noteDrop() {
@@ -223,40 +266,62 @@ func (sw *sinkWorker) noteDrop() {
 	}
 }
 
-// run drains the worker's queue into batches: a batch is written when it
-// reaches BatchSize or when the flush interval elapses with samples
-// pending. After Close the queue's remaining samples are drained in
-// order and written as the final batches.
+// take moves up to BatchSize of the oldest queued samples into batch,
+// requiring a full batch unless partial is set. Freeing space clears the
+// stall mark and wakes every publisher waiting for it.
+func (sw *sinkWorker) take(batch []Sample, partial bool) []Sample {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	k := min(sw.n, cap(batch))
+	if k == 0 || (k < cap(batch) && !partial) {
+		return batch[:0]
+	}
+	size := len(sw.ring)
+	batch = batch[:k]
+	c := copy(batch, sw.ring[sw.head:min(sw.head+k, size)])
+	copy(batch[c:], sw.ring[:k-c])
+	sw.head = (sw.head + k) % size
+	sw.n -= k
+	sw.stalled = false
+	if sw.spaceC != nil {
+		close(sw.spaceC)
+		sw.spaceC = nil
+	}
+	return batch
+}
+
+// run drains the worker's queue in batches: a batch is written when
+// BatchSize samples are queued or when the flush interval elapses with
+// samples pending. After Close the queue's remaining samples are drained
+// in order and written as the final batches.
 func (sw *sinkWorker) run(cfg Config) {
 	defer sw.r.wg.Done()
 	ticker := time.NewTicker(cfg.FlushInterval)
 	defer ticker.Stop()
 	batch := make([]Sample, 0, cfg.BatchSize)
-	write := func() {
-		if len(batch) == 0 {
-			return
+	drain := func(partial bool) {
+		for {
+			batch = sw.take(batch, partial)
+			if len(batch) == 0 {
+				return
+			}
+			if err := sw.sink.Write(batch); err != nil {
+				sw.writeErrs.Add(1)
+			} else {
+				sw.written.Add(uint64(len(batch)))
+				sw.batches.Add(1)
+			}
 		}
-		if err := sw.sink.Write(batch); err != nil {
-			sw.writeErrs.Add(1)
-		} else {
-			sw.written.Add(uint64(len(batch)))
-			sw.batches.Add(1)
-		}
-		batch = batch[:0]
 	}
 	for {
 		select {
-		case s, ok := <-sw.queue:
-			if !ok {
-				write()
-				return
-			}
-			batch = append(batch, s)
-			if len(batch) >= cfg.BatchSize {
-				write()
-			}
+		case <-sw.ready:
+			drain(false)
 		case <-ticker.C:
-			write()
+			drain(true)
+		case <-sw.quit:
+			drain(true)
+			return
 		}
 	}
 }
@@ -339,10 +404,11 @@ func (r *Router) Close() error {
 	}
 	r.stops = nil
 	sinks := r.sinks
-	// Queues close under the write lock: no publisher can hold the read
-	// lock here, so offer never races a send against a closed channel.
+	// Workers are told to drain under the write lock: no publisher can
+	// hold the read lock here, so nothing is enqueued after the final
+	// drain starts.
 	for _, sw := range sinks {
-		close(sw.queue)
+		close(sw.quit)
 	}
 	r.mu.Unlock()
 	r.wg.Wait()

@@ -1,14 +1,10 @@
 package server
 
-import (
-	"testing"
-
-	"pupil/internal/telemetry"
-)
+import "testing"
 
 func benchNode(b *testing.B, subscribers int) *Node {
 	b.Helper()
-	sess, cfg, apps, err := buildSession(NodeConfig{
+	n, err := buildNode(NodeConfig{
 		Technique: "RAPL",
 		CapWatts:  130,
 		Workloads: []WorkloadConfig{{Benchmark: "blackscholes", Threads: 32}},
@@ -16,16 +12,7 @@ func benchNode(b *testing.B, subscribers int) *Node {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := &Node{
-		id:      "bench",
-		cfg:     cfg,
-		apps:    apps,
-		tickSim: DefaultTickSim,
-		sess:    sess,
-		state:   StateRunning,
-		fan:     telemetry.NewFanout[Sample](),
-		done:    make(chan struct{}),
-	}
+	n.id = "bench"
 	for i := 0; i < subscribers; i++ {
 		n.Subscribe(8) // unread: exercises the drop path, as a stalled client would
 	}

@@ -85,11 +85,16 @@ func (c nodeCollector) Collect(out []pipeline.Sample) []pipeline.Sample {
 			failed++
 		}
 	}
-	out = append(out,
-		pipeline.Sample{Family: "pupil_nodes_failed", Value: float64(failed)},
-		pipeline.Sample{Family: "pupil_nodes", Value: float64(len(statuses))},
-		pipeline.Sample{Family: "pupil_nodes_created_total", Value: float64(c.mgr.Created())},
-		pipeline.Sample{Family: "pupil_nodes_deleted_total", Value: float64(c.mgr.Deleted())})
+	return appendLifecycle(out, nodeFamilies, failed, len(statuses), c.mgr.Created(), c.mgr.Deleted())
+}
+
+// appendLifecycle emits a kind's lifecycle tail — the last four families
+// of fams: failed, live, created and deleted counts, in that order.
+func appendLifecycle(out []pipeline.Sample, fams []pipeline.MetricFamily, failed, live int, created, deleted uint64) []pipeline.Sample {
+	tail := fams[len(fams)-4:]
+	for i, v := range [...]float64{float64(failed), float64(live), float64(created), float64(deleted)} {
+		out = append(out, pipeline.Sample{Family: tail[i].Name, Value: v})
+	}
 	return out
 }
 
@@ -224,12 +229,7 @@ func (c clusterCollector) Collect(out []pipeline.Sample) []pipeline.Sample {
 			failed++
 		}
 	}
-	out = append(out,
-		pipeline.Sample{Family: "pupil_clusters_failed", Value: float64(failed)},
-		pipeline.Sample{Family: "pupil_clusters", Value: float64(len(statuses))},
-		pipeline.Sample{Family: "pupil_clusters_created_total", Value: float64(c.mgr.ClustersCreated())},
-		pipeline.Sample{Family: "pupil_clusters_deleted_total", Value: float64(c.mgr.ClustersDeleted())})
-	return out
+	return appendLifecycle(out, clusterFamilies, failed, len(statuses), c.mgr.ClustersCreated(), c.mgr.ClustersDeleted())
 }
 
 // httpCollector renders the request counter — last on the page, as the

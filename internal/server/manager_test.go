@@ -128,6 +128,54 @@ func TestManagerCloseGraceful(t *testing.T) {
 	mgr.Close() // idempotent
 }
 
+// Close drains clusters through the same supervised core as nodes: the
+// epoch loop exits, its stream closes, the cluster reads stopped, and no
+// cluster can be created afterwards.
+func TestManagerCloseDrainsClusters(t *testing.T) {
+	mgr := NewManager()
+	c, err := mgr.CreateCluster(ClusterConfig{
+		BudgetWatts: 280,
+		FreeRun:     true,
+		Nodes: []ClusterNodeConfig{
+			{Technique: "RAPL", Workloads: []WorkloadConfig{{Benchmark: "kmeans", Threads: 8}}},
+			{Technique: "RAPL", Workloads: []WorkloadConfig{{Benchmark: "STREAM", Threads: 8}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := c.Subscribe(4)
+	if _, open := <-sub.C(); !open {
+		t.Fatal("cluster stream closed before Close")
+	}
+	mgr.Close()
+	select {
+	case <-c.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("cluster epoch loop still running after Close")
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range sub.C() {
+		}
+	}()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("cluster stream not closed by Close")
+	}
+	if st := c.Status().State; st != StateStopped {
+		t.Errorf("cluster state after Close = %q, want stopped", st)
+	}
+	if _, err := mgr.CreateCluster(ClusterConfig{
+		BudgetWatts: 140,
+		Nodes:       []ClusterNodeConfig{{Workloads: []WorkloadConfig{{Benchmark: "kmeans"}}}},
+	}); !errors.Is(err, ErrClosed) {
+		t.Errorf("CreateCluster after Close: err = %v, want ErrClosed", err)
+	}
+}
+
 // Config errors that cannot travel through JSON (NaN, Inf) are still
 // caught at the manager boundary with the typed driver error.
 func TestManagerValidation(t *testing.T) {

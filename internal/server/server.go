@@ -12,6 +12,7 @@ import (
 	"pupil/internal/driver"
 	"pupil/internal/faults"
 	"pupil/internal/pipeline"
+	"pupil/internal/telemetry"
 )
 
 // decodeStrict decodes exactly one JSON value from r into v: unknown fields
@@ -197,14 +198,10 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 // sink has retained from the pipeline, oldest first. ?max=N trims to the
 // newest N.
 func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
-	max := 0
-	if v := r.URL.Query().Get("max"); v != "" {
-		mx, err := strconv.Atoi(v)
-		if err != nil || mx < 1 {
-			writeError(w, fmt.Errorf("%w: bad max %q", ErrBadConfig, v))
-			return
-		}
-		max = mx
+	max, err := queryPositive(r, "max", 0)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"samples": s.mgr.Recent(max)})
 }
@@ -218,36 +215,45 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleStream pushes per-tick samples as newline-delimited JSON until the
-// client disconnects, the node stops, or ?max=N samples have been sent.
-// ?buffer=N sizes the subscriber's ring buffer (default 64); a consumer
-// slower than the tick rate loses the oldest samples, reported in each
-// record's dropped counter.
+// queryPositive parses the named query parameter as a positive integer,
+// returning def when it is absent.
+func queryPositive(r *http.Request, name string, def int) (int, error) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("%w: bad %s %q", ErrBadConfig, name, v)
+	}
+	return n, nil
+}
+
+// handleStream pushes a node's per-tick samples as NDJSON; see serveStream.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	n, ok := s.node(w, r)
-	if !ok {
+	if n, ok := s.node(w, r); ok {
+		serveStream(w, r, n.Subscribe)
+	}
+}
+
+// serveStream pushes a node's or cluster's samples as newline-delimited
+// JSON until the client disconnects, the unit stops, or ?max=N samples
+// have been sent. ?buffer=N sizes the subscriber's ring buffer (default
+// 64); a consumer slower than the step rate loses the oldest samples,
+// reported in each record's dropped counter.
+func serveStream[S interface{ withDropped(uint64) S }](w http.ResponseWriter, r *http.Request, subscribe func(buffer int) *telemetry.Subscriber[S]) {
+	buffer, err := queryPositive(r, "buffer", 64)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	buffer := 64
-	if v := r.URL.Query().Get("buffer"); v != "" {
-		b, err := strconv.Atoi(v)
-		if err != nil || b < 1 {
-			writeError(w, fmt.Errorf("%w: bad buffer %q", ErrBadConfig, v))
-			return
-		}
-		buffer = b
-	}
-	max := 0
-	if v := r.URL.Query().Get("max"); v != "" {
-		mx, err := strconv.Atoi(v)
-		if err != nil || mx < 1 {
-			writeError(w, fmt.Errorf("%w: bad max %q", ErrBadConfig, v))
-			return
-		}
-		max = mx
+	max, err := queryPositive(r, "max", 0)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 
-	sub := n.Subscribe(buffer)
+	sub := subscribe(buffer)
 	defer sub.Cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -257,7 +263,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		// Flush the response header immediately: the subscriber is
 		// registered, and a client must be able to observe that before
-		// the first sample arrives (an idle node may not tick for a
+		// the first sample arrives (an idle unit may not step for a
 		// while).
 		flusher.Flush()
 	}
@@ -271,8 +277,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			smp.Dropped = sub.Dropped()
-			if err := enc.Encode(smp); err != nil {
+			if err := enc.Encode(smp.withDropped(sub.Dropped())); err != nil {
 				return
 			}
 			if flusher != nil {
